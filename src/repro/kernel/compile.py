@@ -1,472 +1,11 @@
-"""Compiled agent-stack dispatch: flat per-syscall chains.
+"""No compiled dispatch: one name kept for the benchmark suite.
 
-The paper prices interposition at ~37 µs per redirected trap; our
-tower pays that price in Python attribute lookups — every interposed
-trap walks boilerplate → numeric → symbolic → desc/path routing →
-downcall, re-deciding the same route on every call.  This module does
-the deciding once.  :func:`build_compiled_dispatch` walks a process's
-emulation vector and, per syscall number, collapses every layer that
-:mod:`repro.toolkit.compile_support` can prove transparent into one
-flat closure: default-fill the arguments, run the terminal (the kernel
-implementation under a single lock acquisition, or the first opaque
-handler below), then apply the numeric layer's errno/two-register
-normalization once.
-
-Three kinds of product:
-
-* **trap-entry closures** — stored in ``proc.compiled_dispatch`` as
-  ``(fn, fn_many)`` rows; :meth:`~repro.kernel.trap.UserContext.trap`
-  runs ``fn`` instead of the tower when no observer stands in the way.
-  ``fn_many`` (kernel-terminated chains only) runs a homogeneous batch
-  under one lock acquisition for
-  :meth:`~repro.kernel.trap.UserContext.trap_many`.
-* **downcall closures** — stored per agent in ``agent._down_compiled``;
-  :meth:`~repro.toolkit.boilerplate.Agent.syscall_down_numeric`
-  consults them so that even an *opaque* agent's forwards (the trace
-  agent's log writes, say) skip the flattened sub-tower below it.
-
-**Invalidation.**  ``proc.compiled_dispatch`` is reset to ``None`` —
-rebuild lazily — exactly like PR 2's ``fast_dispatch``: on
-``task_set_emulation``, on native ``execve``, and on guard-rail agent
-ejection; fork children start with a fresh ``None``.  Downcall chains
-additionally bake which handler sits below each agent, and ``_down``
-maps are shared by every process the agent serves, so every ``_down``
-mutation bumps a global :data:`DOWN_EPOCH`; closures carry the epoch
-they were built under and stand down (run the original tower) on any
-mismatch, which makes cross-process staleness impossible rather than
-merely unlikely.  Stale closures also *self-heal*: a trap-entry closure
-drops the whole ``proc.compiled_dispatch`` table (the next trap
-rebuilds it against the new chain shape) and a downcall closure evicts
-its own cache entry — without this, one late agent attach anywhere
-would permanently degrade every already-built table to tower speed.
-
-**Stand-down.**  Compiled chains run only when they are observably
-identical to the tower: the trap entry requires no recorder, no obs,
-no guard (all checked upstream in ``trap``), no dfstrace and no ktrace
-flag; downcall closures re-check recorder/obs/dfstrace at call time
-(ktrace matters only via obs on this path).  With the ``compiled``
-fast-path flag off, :data:`_COMPILED_DISABLED` — an always-empty
-table — makes the whole feature one dict lookup that misses.
+Every interposed trap and every agent downcall runs the layer tower;
+nothing under ``src/`` calls :func:`build_compiled_dispatch`.
 """
 
-from repro.kernel.errno import EINVAL, SyscallError
-from repro.kernel.sysent import SYSCALLS, TWO_REGISTER_CALLS
 
-#: shared sentinel installed as ``proc.compiled_dispatch`` when the
-#: compiled fast path is configured off: every lookup misses, so the
-#: disabled cost is one ``dict.get`` per interposed trap
-_COMPILED_DISABLED = {}
-
-#: bumped on every agent ``_down`` mutation; compiled closures carry
-#: the epoch they were built under and fall back to the tower on any
-#: mismatch (see module docstring: the map is shared across processes)
-DOWN_EPOCH = [0]
-
-
-def note_down_mutation():
-    """An agent's ``_down`` chain changed: retire every baked chain."""
-    DOWN_EPOCH[0] += 1
-
-
-def _kernel_terminal(number, baked_interposed):
-    """A flat closure with the tower's htg + do_syscall semantics.
-
-    Replays, in order: the downcall's kernel-crossing charge
-    (``ru_nsyscalls``), the interposed-number accounting tax, the
-    sysent arity check, the clock tick / system-time charge / alarm
-    check, then the implementation — under **one** lock acquisition
-    where the tower takes two (htg body, then ``do_syscall``), which is
-    unobservable because nothing on this path runs between them.
-    Trap-entry chains bake the membership test ``True`` (the table is
-    invalidated whenever the vector changes); downcall chains re-check
-    it, because one agent serves every process forked under it.
-    Returns ``None`` when the kernel does not implement *number*.
-    """
-    from repro.kernel.syscalls import DISPATCH
-
-    impl = DISPATCH.get(number)
-    entry = SYSCALLS.get(number)
-    if impl is None or entry is None:
-        return None
-    nargs = entry.nargs
-    name = entry.name
-    if baked_interposed:
-        def terminal(ctx, args):
-            kernel = ctx.kernel
-            proc = ctx.proc
-            rusage = proc.rusage
-            rusage.ru_nsyscalls += 1
-            with kernel._sleepq:
-                rusage.ru_stime_usec += 1
-                if len(args) > nargs:
-                    raise SyscallError(
-                        EINVAL, "%s takes %d args" % (name, nargs))
-                kernel.clock.tick()
-                rusage.ru_stime_usec += 100
-                kernel._check_alarm_locked(proc)
-                return impl(kernel, proc, *args)
-    else:
-        def terminal(ctx, args):
-            kernel = ctx.kernel
-            proc = ctx.proc
-            rusage = proc.rusage
-            rusage.ru_nsyscalls += 1
-            with kernel._sleepq:
-                if number in proc.emulation_vector:
-                    rusage.ru_stime_usec += 1
-                if len(args) > nargs:
-                    raise SyscallError(
-                        EINVAL, "%s takes %d args" % (name, nargs))
-                kernel.clock.tick()
-                rusage.ru_stime_usec += 100
-                kernel._check_alarm_locked(proc)
-                return impl(kernel, proc, *args)
-    return terminal
-
-
-def _below_terminal(below, number):
-    """Terminate a collapsed prefix at the first opaque handler."""
-    def terminal(ctx, args):
-        return below(ctx, number, tuple(args))
-    return terminal
-
-
-def _method_terminal(agent, method):
-    """Invoke an overridden ``sys_*`` body directly.
-
-    Used for layers :func:`~repro.toolkit.compile_support.peel_entry_method`
-    graded: the body is real agent code and runs verbatim — its
-    downcalls go through the agent's normal machinery — but the tower
-    walk *above* it (boilerplate entry, symbolic handle, the numeric
-    layer's register/EmulRegs allocations) is skipped.  The context
-    bind replays the boilerplate entry's; the surrounding chain replays
-    the default-fill and the errno/two-register marshalling.
-    """
-    def terminal(ctx, args):
-        agent._bind(ctx)
-        return method(*args)
-    return terminal
-
-
-def _opaque_chain(support, handler, number):
-    """Collapse an opaque layer's entry tower into a direct method call.
-
-    Returns a chain callable, or ``None`` when the layer's machinery is
-    not provably stock.  Serves both as a compiled entry for an opaque
-    *top* layer and as the terminal of a collapsed transparent prefix,
-    so even chains that end in real agent code shed the per-call layer
-    walk.  An argument count the fill cannot replay bails to the
-    original handler, keeping the tower's ``TypeError`` byte-identical.
-    """
-    plan = support.peel_entry_method(handler, number)
-    if plan is None:
-        return None
-    agent, method, fill = plan
-    return _make_chain(number, [fill], True,
-                       _method_terminal(agent, method),
-                       _tower_fallback(handler, number))
-
-
-def _down_fallback(below, number):
-    """The original downcall route, for stand-down and arity bailout."""
-    if below is None:
-        def fallback(ctx, args):
-            return ctx.htg(number, *args)
-    else:
-        def fallback(ctx, args):
-            return below(ctx, number, tuple(args))
-    return fallback
-
-
-def _tower_fallback(handler, number):
-    """The original trap-entry handler, for arity bailout."""
-    def fallback(ctx, args):
-        return handler(ctx, number, args)
-    return fallback
-
-
-def _make_chain(number, fills, normalize, terminal, fallback):
-    """Compose fills → terminal → normalization into one closure.
-
-    *fills* replay each collapsed symbolic layer's default-filling; an
-    argument count outside a layer's ``[required, nparams]`` band is
-    exactly the case where the tower's ``method(*args)`` crashes with
-    ``TypeError``, so the chain bails to *fallback* — the original
-    route — and the crash (or an opaque handler's own treatment) stays
-    byte-identical.  *normalize* replays the numeric layer once: a
-    ``SyscallError`` is re-raised errno-only (the message is consumed
-    by the layer, and re-raising outside the except block drops the
-    implicit context, as the tower's deferred raise does), and
-    two-register calls are marshalled through the register pair.
-    """
-    two_register = normalize and number in TWO_REGISTER_CALLS
-    if not fills and not normalize:
-        return terminal
-    fills = tuple(fills)
-
-    def chain(ctx, args):
-        for required, nparams, defaults in fills:
-            count = len(args)
-            if count < required or count > nparams:
-                return fallback(ctx, args)
-            if count < nparams:
-                args = args + defaults[count - required:]
-        if not normalize:
-            return terminal(ctx, args)
-        error = 0
-        value = 0
-        try:
-            value = terminal(ctx, args)
-        except SyscallError as exc:
-            error = exc.errno
-        if error:
-            raise SyscallError(error)
-        if two_register:
-            if isinstance(value, tuple):
-                first, second = value
-                return (first, second)
-            return (value, 0)
-        return value
-
-    return chain
-
-
-def _make_entry(chain, handler, number):
-    """The trap-entry closure: epoch guard, counter, then the chain."""
-    epoch = DOWN_EPOCH[0]
-
-    def entry(ctx, args):
-        if DOWN_EPOCH[0] != epoch:
-            # Self-heal: drop the whole table so the next trap rebuilds
-            # it against the new chain shape, instead of paying the
-            # tower forever because an unrelated attach bumped the epoch.
-            ctx.proc.compiled_dispatch = None
-            return handler(ctx, number, args)
-        ctx.kernel.trap_compiled_total += 1
-        return chain(ctx, args)
-
-    return entry
-
-
-def _make_down(chain, fallback, cache, number):
-    """A downcall closure: stands down under any live observer."""
-    epoch = DOWN_EPOCH[0]
-
-    def down(ctx, args):
-        kernel = ctx.kernel
-        if (DOWN_EPOCH[0] == epoch and kernel.recorder is None
-                and kernel.obs is None and kernel.dfstrace is None
-                and kernel.profiler is None):
-            kernel.down_compiled_total += 1
-            return chain(ctx, tuple(args))
-        if DOWN_EPOCH[0] != epoch:
-            # Self-heal: evict this stale entry and retire the calling
-            # process's table, so its next trap rebuilds everything —
-            # including this cache — against the new chain shape.  (An
-            # opaque-topped vector has no entry closures to notice the
-            # stale epoch, so the down path must trigger the rebuild.)
-            cache.pop(number, None)
-            ctx.proc.compiled_dispatch = None
-        return fallback(ctx, args)
-
-    return down
-
-
-def _make_entry_many(number, fills, normalize, deliver_pending_signals):
-    """The single-lock batch variant of a kernel-terminated entry.
-
-    Runs a list of argument vectors through the flat chain while
-    holding the kernel lock once, replaying the per-call accounting
-    (trap and crossing counters, tick, system time, alarm check) each
-    iteration.  The lock is dropped — and re-taken — whenever a signal
-    becomes pending, so boundary delivery interleaves exactly as a
-    sequential trap loop would.  Returns ``NotImplemented`` when the
-    batch cannot be proven equivalent up front (stale epoch, an arity
-    that the tower would crash or message differently), and the caller
-    falls back to issuing the traps one by one.
-    """
-    from repro.kernel.syscalls import DISPATCH
-
-    impl = DISPATCH.get(number)
-    entry = SYSCALLS.get(number)
-    if impl is None or entry is None:
-        return None
-    nargs = entry.nargs
-    name = entry.name
-    two_register = normalize and number in TWO_REGISTER_CALLS
-    fills = tuple(fills)
-    epoch = DOWN_EPOCH[0]
-
-    def entry_many(ctx, calls):
-        if DOWN_EPOCH[0] != epoch:
-            ctx.proc.compiled_dispatch = None  # self-heal, as in entry
-            return NotImplemented
-        filled = []
-        for args in calls:
-            args = tuple(args)
-            for required, nparams, defaults in fills:
-                count = len(args)
-                if count < required or count > nparams:
-                    return NotImplemented
-                if count < nparams:
-                    args = args + defaults[count - required:]
-            filled.append(args)
-        kernel = ctx.kernel
-        proc = ctx.proc
-        rusage = proc.rusage
-        results = []
-        index = 0
-        total = len(filled)
-        while index < total:
-            caught = None
-            with kernel._sleepq:
-                while index < total:
-                    args = filled[index]
-                    kernel.trap_total += 1
-                    kernel.trap_compiled_total += 1
-                    rusage.ru_nsyscalls += 2
-                    rusage.ru_stime_usec += 1
-                    try:
-                        if len(args) > nargs:
-                            raise SyscallError(
-                                EINVAL,
-                                "%s takes %d args" % (name, nargs))
-                        kernel.clock.tick()
-                        rusage.ru_stime_usec += 100
-                        kernel._check_alarm_locked(proc)
-                        value = impl(kernel, proc, *args)
-                    except SyscallError as exc:
-                        caught = exc
-                        break
-                    if two_register:
-                        if isinstance(value, tuple):
-                            first, second = value
-                            value = (first, second)
-                        else:
-                            value = (value, 0)
-                    results.append(value)
-                    index += 1
-                    if proc.pending:
-                        break
-            if caught is not None:
-                deliver_pending_signals(ctx)
-                if normalize:
-                    raise SyscallError(caught.errno)
-                raise caught
-            if proc.pending:
-                deliver_pending_signals(ctx)
-        return results
-
-    return entry_many
-
-
+# Kept for benchmarks/suite/tracer.py, which imports and wraps this name.
 def build_compiled_dispatch(kernel, proc):
-    """Compile *proc*'s emulation vector into flat per-number chains.
-
-    Returns the table for ``proc.compiled_dispatch``: syscall number →
-    ``(fn, fn_many)``.  Numbers whose chain offers no win (opaque at
-    the top, or no kernel implementation) simply have no row — the
-    trap's ``get`` misses and the tower runs.  As a side effect, every
-    toolkit agent found on a chain gets its ``_down_compiled`` map
-    populated for this number, flattening the sub-tower below it even
-    when the agent itself is opaque.
-    """
-    if not kernel.fastpaths.compiled:
-        return _COMPILED_DISABLED
-    # Imported here: the toolkit imports repro.kernel.trap, which
-    # imports this module — a top-level import would cycle.  The trap
-    # module is likewise fully initialised by the time a trap runs.
-    from repro.kernel.trap import deliver_pending_signals
-    from repro.toolkit import compile_support as support
-
-    entry_func = support.Agent._emulation_entry
-    table = {}
-    for number, handler in list(proc.emulation_vector.items()):
-        # Walk the chain of toolkit boilerplate entries below the top.
-        handlers = []
-        agents = []
-        tail = None
-        cursor = handler
-        while cursor is not None:
-            if getattr(cursor, "__func__", None) is not entry_func:
-                tail = cursor
-                break
-            agent = cursor.__self__
-            if any(existing is agent for existing in agents):
-                tail = cursor  # cyclic chain: treat the rest as opaque
-                break
-            handlers.append(cursor)
-            agents.append(agent)
-            cursor = agent._down.get(number)
-        if not agents:
-            continue
-        plans = [support.peel(each, number) for each in handlers]
-
-        # Trap-entry chain: collapse the transparent prefix.
-        prefix = 0
-        while prefix < len(plans) and plans[prefix] is not None:
-            prefix += 1
-        if prefix:
-            fills = [plan.fill for plan in plans[:prefix]
-                     if plan.fill is not None]
-            normalize = any(plan.normalize for plan in plans[:prefix])
-            many = None
-            if prefix < len(handlers):
-                terminal = (_opaque_chain(support, handlers[prefix], number)
-                            or _below_terminal(handlers[prefix], number))
-            elif tail is not None:
-                terminal = _below_terminal(tail, number)
-            else:
-                terminal = _kernel_terminal(number, baked_interposed=True)
-                if terminal is not None:
-                    many = _make_entry_many(number, fills, normalize,
-                                            deliver_pending_signals)
-            if terminal is not None:
-                chain = _make_chain(number, fills, normalize, terminal,
-                                    _tower_fallback(handler, number))
-                table[number] = (_make_entry(chain, handler, number), many)
-        else:
-            # Opaque at the very top — but an overridden sys_* method
-            # with stock machinery around it can still be entered
-            # directly, shedding the boilerplate/numeric walk that
-            # precedes the agent's own code.
-            chain = _opaque_chain(support, handler, number)
-            if chain is not None:
-                table[number] = (_make_entry(chain, handler, number), None)
-
-        # Downcall chains: flatten the sub-tower below *every* agent on
-        # the walk — an opaque agent's forwards are often the hot path
-        # (the trace agent makes three per traced call).
-        for position, agent in enumerate(agents):
-            sub_plans = plans[position + 1:]
-            sub_handlers = handlers[position + 1:]
-            depth = 0
-            while depth < len(sub_plans) and sub_plans[depth] is not None:
-                depth += 1
-            if depth < len(sub_handlers):
-                terminal = _opaque_chain(support, sub_handlers[depth], number)
-                if terminal is None:
-                    if depth == 0:
-                        continue  # immediately opaque below: nothing to skip
-                    terminal = _below_terminal(sub_handlers[depth], number)
-            elif tail is not None:
-                if depth == 0:
-                    continue
-                terminal = _below_terminal(tail, number)
-            else:
-                # Kernel-terminated: worth baking even with no layers
-                # to peel — the flat body replaces the htg round trip
-                # (name lookup, dispatch lookup, two lock acquisitions).
-                terminal = _kernel_terminal(number, baked_interposed=False)
-                if terminal is None:
-                    continue
-            fills = [plan.fill for plan in sub_plans[:depth]
-                     if plan.fill is not None]
-            normalize = any(plan.normalize for plan in sub_plans[:depth])
-            fallback = _down_fallback(agent._down.get(number), number)
-            chain = _make_chain(number, fills, normalize, terminal, fallback)
-            cache = agent._down_compiled
-            if cache is None:
-                cache = agent._down_compiled = {}
-            cache[number] = _make_down(chain, fallback, cache, number)
-    return table
+    """Return an empty table: there are no compiled chains."""
+    return {}

@@ -25,15 +25,7 @@ reproduction's equivalents:
     layer materialises it into ``bytes`` exactly once at the
     kernel/user boundary.
 
-``compiled``
-    Compiled agent-stack dispatch (:mod:`repro.kernel.compile`): when
-    an emulation vector is populated — exactly where ``trap_fast``
-    stands down — the per-syscall decision chain through the toolkit
-    tower is collapsed into one flat closure per number, invalidated on
-    vector change like the trap table, plus flattened agent downcalls
-    and single-lock ``trap_many``/vectored-I/O batching.
-
-Every flag defaults **on** because all four paths are observably
+Every flag defaults **on** because all three paths are observably
 equivalent to the seed behaviour (the equivalence test suite pins
 this); booting with ``FastPathConfig.none()`` — or setting
 ``REPRO_FASTPATH=none`` — recovers the seed code paths bit for bit,
@@ -49,8 +41,8 @@ configuration uses :meth:`FastPathConfig.all_on`.
 
 import os
 
-#: the four behaviour-transparent fast-path flags
-FLAG_NAMES = ("namecache", "trap_fast", "zero_copy", "compiled")
+#: the three behaviour-transparent fast-path flags
+FLAG_NAMES = ("namecache", "trap_fast", "zero_copy")
 
 #: default name-cache capacity (4.3BSD sized its nc hash by maxusers)
 DEFAULT_NAMECACHE_CAPACITY = 4096
@@ -62,17 +54,15 @@ DEFAULT_READAHEAD = 65536
 class FastPathConfig:
     """One kernel's fast-path flag word, fixed at boot."""
 
-    __slots__ = ("namecache", "trap_fast", "zero_copy", "compiled",
+    __slots__ = ("namecache", "trap_fast", "zero_copy",
                  "namecache_capacity", "stdio_readahead")
 
     def __init__(self, namecache=True, trap_fast=True, zero_copy=True,
-                 compiled=True,
                  namecache_capacity=DEFAULT_NAMECACHE_CAPACITY,
                  stdio_readahead=0):
         self.namecache = bool(namecache)
         self.trap_fast = bool(trap_fast)
         self.zero_copy = bool(zero_copy)
-        self.compiled = bool(compiled)
         self.namecache_capacity = int(namecache_capacity)
         self.stdio_readahead = int(stdio_readahead)
 
@@ -82,14 +72,14 @@ class FastPathConfig:
     def all_on(cls, stdio_readahead=DEFAULT_READAHEAD,
                namecache_capacity=DEFAULT_NAMECACHE_CAPACITY):
         """Every fast path on, including the stdio readahead sizing."""
-        return cls(True, True, True, True,
+        return cls(True, True, True,
                    namecache_capacity=namecache_capacity,
                    stdio_readahead=stdio_readahead)
 
     @classmethod
     def none(cls):
         """The seed kernel: every fast path off."""
-        return cls(False, False, False, False, stdio_readahead=0)
+        return cls(False, False, False, stdio_readahead=0)
 
     @classmethod
     def only(cls, *names, **kwargs):
@@ -162,7 +152,6 @@ class FastPathConfig:
             "namecache": self.namecache,
             "trap_fast": self.trap_fast,
             "zero_copy": self.zero_copy,
-            "compiled": self.compiled,
             "namecache_capacity": self.namecache_capacity,
             "stdio_readahead": self.stdio_readahead,
         }

@@ -130,12 +130,9 @@ class Kernel:
         #: traps dispatched through the precomputed fast path (a subset
         #: of trap_total; see repro.kernel.trap.build_fast_dispatch)
         self.trap_fast_total = 0
-        #: interposed traps dispatched through a compiled flat chain (a
-        #: subset of trap_total; see repro.kernel.compile)
+        # Always 0; benchmarks/suite/worker.py reads it every iteration.
         self.trap_compiled_total = 0
-        #: agent downcalls dispatched through a compiled chain instead
-        #: of the htg round trip (disjoint from trap_total, which never
-        #: counts downcalls)
+        # Always 0; benchmarks/suite/worker.py reads it every iteration.
         self.down_compiled_total = 0
         #: fork/execve accounting for the make workload's "64 pairs"
         self.fork_total = 0

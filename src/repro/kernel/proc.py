@@ -218,11 +218,6 @@ class Process:
         #: ``None`` means "rebuild lazily on the next trap" — every
         #: emulation-vector change resets it to None
         self.fast_dispatch = None
-        #: compiled per-number agent-stack chains for interposed traps
-        #: (see repro.kernel.compile.build_compiled_dispatch); same
-        #: lifecycle as fast_dispatch — ``None`` rebuilds lazily, every
-        #: emulation-vector change resets it
-        self.compiled_dispatch = None
 
         #: ktrace participation (see repro.kernel.ktrace): inherited
         #: across fork, cleared by native execve, kept by jump_to_image

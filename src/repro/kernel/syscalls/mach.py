@@ -36,10 +36,9 @@ def sys_task_set_emulation(kernel, proc, numbers, handler):
             proc.emulation_vector.pop(number, None)
         else:
             proc.emulation_vector[number] = handler
-    # The emulation vector changed: neither precomputed dispatch table
-    # reflects it any more.  Both rebuild lazily on the next trap.
+    # The emulation vector changed: the precomputed fast dispatch table
+    # no longer reflects it.  Rebuilt lazily on the next trap.
     proc.fast_dispatch = None
-    proc.compiled_dispatch = None
     return 0
 
 

@@ -101,8 +101,10 @@ def sys_ktrace_read(kernel, proc, limit=0):
 #: the pinned section ordering below, and the procfs/profile/watch
 #: sections (the un-versioned seed payload is retroactively version 1).
 #: Version 3 appended the ``journal`` section (the write-ahead journal's
-#: machine-wide counters; see :mod:`repro.kernel.journal`).
-KERNEL_STATS_SCHEMA_VERSION = 3
+#: machine-wide counters; see :mod:`repro.kernel.journal`).  Version 4
+#: dropped ``trap.compiled`` and ``trap.down_compiled`` with the compiled
+#: agent-stack dispatch they counted.
+KERNEL_STATS_SCHEMA_VERSION = 4
 
 #: the pinned section order of the kernel_stats payload; the golden
 #: test in tests/test_procfs.py holds future PRs to it — append new
@@ -163,8 +165,6 @@ def kernel_stats_payload(kernel):
         "trap": {
             "total": kernel.trap_total,
             "fast": kernel.trap_fast_total,
-            "compiled": kernel.trap_compiled_total,
-            "down_compiled": kernel.down_compiled_total,
         },
         "namecache": cache.stats() if cache is not None else {"enabled": False},
         "spans": spans,

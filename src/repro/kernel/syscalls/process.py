@@ -90,7 +90,6 @@ def sys_execve(kernel, proc, path, argv=None, envp=None):
     # The new image replaces the address space: interposition is gone.
     proc.emulation_vector.clear()
     proc.fast_dispatch = None
-    proc.compiled_dispatch = None
     proc.signal_redirect = None
     # ktrace is reset with it: a fresh image starts untraced (the
     # toolkit's jump_to_image, which replaces only the image, keeps it).

@@ -36,7 +36,6 @@ exists to demonstrate.
 
 from repro.kernel import signals as sig
 from repro.kernel import sysent
-from repro.kernel.compile import build_compiled_dispatch
 from repro.kernel.errno import EINVAL, SyscallError, errno_name
 from repro.kernel.faultsite import MachineCrash
 from repro.kernel.proc import ExecImage, ProcessExit
@@ -215,6 +214,14 @@ class UserContext:
                 deliver_pending_signals(self)
             return result
 
+        return self._trap_tower(number, args)
+
+    def _trap_tower(self, number, args):
+        """The layer tower: the agent's handler or the kernel, then
+        boundary signal delivery (shared by :meth:`trap`'s slow path and
+        :meth:`_trap_recorded`)."""
+        proc = self.proc
+        kernel = self.kernel
         handler = proc.emulation_vector.get(number)
         try:
             if handler is not None:
@@ -228,24 +235,7 @@ class UserContext:
                 if guard is not None:
                     result = guard.run_handler(self, handler, number, args)
                 else:
-                    # Compiled agent-stack dispatch: a flat per-number
-                    # chain replaces the layer tower when every observer
-                    # that could tell the difference is quiet (recorder
-                    # and obs were dispatched above, the guard is the
-                    # branch we did not take, dfstrace/ktrace checked
-                    # here).  Same lazy-rebuild lifecycle as the fast
-                    # table above.
-                    ctable = proc.compiled_dispatch
-                    if ctable is None:
-                        ctable = proc.compiled_dispatch = \
-                            build_compiled_dispatch(kernel, proc)
-                    crow = ctable.get(number)
-                    if (crow is not None and kernel.dfstrace is None
-                            and kernel.profiler is None
-                            and not proc.ktrace_on):
-                        result = crow[0](self, args)
-                    else:
-                        result = handler(self, number, args)
+                    result = handler(self, number, args)
             else:
                 result = kernel.do_syscall(proc, number, args)
         except SyscallError:
@@ -253,106 +243,6 @@ class UserContext:
             raise
         deliver_pending_signals(self)
         return result
-
-    def trap_many(self, number, calls):
-        """Issue a homogeneous batch of system call *number* traps.
-
-        *calls* is a sequence of argument tuples; the result is exactly
-        ``[self.trap(number, *args) for args in calls]`` — same results,
-        same per-call accounting, same signal delivery at every call
-        boundary, and a :class:`SyscallError` aborts the batch at the
-        failing call just as it would abort a sequential loop.  What the
-        batch buys is dispatch amortization: when nothing stands in the
-        way (no recorder/obs/guard/dfstrace/ktrace), the whole batch
-        runs through one compiled chain — or one fast-dispatch row —
-        under a single kernel lock acquisition, dropping the lock only
-        when a signal becomes pending so delivery interleaves exactly as
-        the sequential loop's would.
-        """
-        calls = list(calls)
-        kernel = self.kernel
-        proc = self.proc
-        if (kernel.recorder is None and kernel.obs is None
-                and kernel.guard is None and kernel.dfstrace is None
-                and not proc.ktrace_on):
-            if number in proc.emulation_vector:
-                ctable = proc.compiled_dispatch
-                if ctable is None:
-                    ctable = proc.compiled_dispatch = \
-                        build_compiled_dispatch(kernel, proc)
-                crow = ctable.get(number)
-                if (crow is not None and crow[1] is not None
-                        and kernel.profiler is None):
-                    results = crow[1](self, calls)
-                    if results is not NotImplemented:
-                        return results
-            else:
-                results = self._trap_many_fast(number, calls)
-                if results is not NotImplemented:
-                    return results
-        return [self.trap(number, *args) for args in calls]
-
-    def _trap_many_fast(self, number, calls):
-        """Single-lock batch over an uninterposed fast-dispatch row.
-
-        The per-call work mirrors the fast path in :meth:`trap` —
-        crossing and trap counters, arity check (the fast path's
-        messageful EINVAL included), tick, system-time charge, alarm
-        check, implementation — with the lock held across calls instead
-        of per call.  Returns ``NotImplemented`` when the number has no
-        fast row (interposed, unimplemented, or the flag is off) so the
-        caller falls back to the sequential loop.
-        """
-        kernel = self.kernel
-        proc = self.proc
-        table = proc.fast_dispatch
-        if table is None:
-            table = proc.fast_dispatch = build_fast_dispatch(kernel, proc)
-        row = table.get(number)
-        if row is None:
-            return NotImplemented
-        impl, entry = row
-        nargs = entry.nargs
-        name = entry.name
-        kframe = "kernel:" + name
-        rusage = proc.rusage
-        results = []
-        index = 0
-        total = len(calls)
-        while index < total:
-            error = None
-            with kernel._sleepq:
-                while index < total:
-                    if kernel.crashed is not None:
-                        raise MachineCrash(kernel.crashed)
-                    args = calls[index]
-                    rusage.ru_nsyscalls += 1
-                    kernel.trap_total += 1
-                    kernel.trap_fast_total += 1
-                    try:
-                        if len(args) > nargs:
-                            raise SyscallError(
-                                EINVAL, "%s takes %d args" % (name, nargs))
-                        kernel.clock.tick()
-                        rusage.ru_stime_usec += 100
-                        kernel._check_alarm_locked(proc)
-                        if kernel.profiler is not None:
-                            kernel.profiler.sample_tick(proc, kframe)
-                        if kernel.watches is not None:
-                            kernel.watches.maybe_evaluate(kernel, proc)
-                        results.append(impl(kernel, proc, *args))
-                    except SyscallError as exc:
-                        error = exc
-                        break
-                    index += 1
-                    if proc.pending:
-                        break
-            if error is not None:
-                deliver_pending_signals(self)
-                raise error
-            if proc.pending:
-                deliver_pending_signals(self)
-        return results
 
     def _trap_recorded(self, rec, number, args):
         """The trap path under record/replay's turn token.
@@ -378,22 +268,7 @@ class UserContext:
             obs = kernel.obs
             if obs is not None:
                 return self._trap_observed(obs, number, args)
-            handler = proc.emulation_vector.get(number)
-            try:
-                if handler is not None:
-                    guard = kernel.guard
-                    if guard is not None:
-                        result = guard.run_handler(self, handler, number,
-                                                   args)
-                    else:
-                        result = handler(self, number, args)
-                else:
-                    result = kernel.do_syscall(proc, number, args)
-            except SyscallError:
-                deliver_pending_signals(self)
-                raise
-            deliver_pending_signals(self)
-            return result
+            return self._trap_tower(number, args)
         finally:
             rec.end()
 

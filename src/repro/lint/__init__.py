@@ -36,7 +36,7 @@ are exactly this shape:
 ====  =================================================================
 F001  fresh resources released/committed/returned on *every* path,
       exception edges included
-F002  incref/decref balance per path (subsumes the deprecated L003)
+F002  incref/decref balance per path
 F003  every ``sys_*`` path returns a value or raises SyscallError
 F004  no unbounded ``.get()``/``.join()``/``.acquire()``/``.wait()``
       reachable from a handler

@@ -12,10 +12,6 @@ Scope decisions each rule makes:
   in-module inheritance (see :func:`agent_like_classes`) — agents
   derive from the toolkit layers by name, and the linter must work
   without resolving imports.
-* L003 counts reference traffic in *every* function: open-object
-  refcounts are the cross-cutting invariant the paper calls out, and
-  the ownership-transfer points in the toolkit carry explicit
-  suppressions rather than a blanket exemption.
 * L006 applies only to modules under an ``agents`` directory: the
   toolkit's boilerplate *is* the sanctioned kernel-facing mechanism.
 * L008 looks only at handler methods (``sys_*``, ``handle_syscall``,
@@ -28,9 +24,8 @@ Scope decisions each rule makes:
   (:mod:`repro.obs.recorder`) has to reproduce.
 * L010 shares the same handler-method scope: a handler that writes
   ``*.emulation_vector`` directly, instead of going through
-  ``task_set_emulation``, skips the invalidation funnel the kernel's
-  fast-dispatch and compiled-dispatch tables depend on
-  (:mod:`repro.kernel.compile`).
+  ``task_set_emulation``, skips the funnel that resets the process's
+  fast-dispatch table (``proc.fast_dispatch``).
 """
 
 import ast
@@ -206,7 +201,7 @@ def _check_init_overrides(path, agentish, out):
                     "attach but intercept nothing" % class_name))
 
 
-# -- L003: balanced open-object reference traffic per method ------------
+# -- function collection (shared with repro.lint.flow) -------------------
 
 
 class _FunctionCollector(ast.NodeVisitor):
@@ -236,13 +231,6 @@ class _FunctionCollector(ast.NodeVisitor):
     def visit_AsyncFunctionDef(self, node):
         """Async defs are collected the same way."""
         self._visit_function(node)
-
-
-# L003 (count incref/decref per method) lived here until the flow
-# rules landed: the per-method counter could not see try/finally or
-# early returns, so it is superseded by the path-sensitive F002 in
-# :mod:`repro.lint.flow`.  The id stays registered as a deprecated
-# alias — ``disable=L003`` suppressions silence F002.
 
 
 # -- L004: errno discipline ---------------------------------------------
@@ -483,11 +471,10 @@ def _check_vector_mutation(path, agentish, out):
     to any ``.emulation_vector`` attribute inside a handler body.
     Reading the vector is fine — the rule is about the write funnel:
     ``register_interest``/``unregister_interest`` route the change
-    through ``task_set_emulation``, which is where the kernel retires
-    its fast-dispatch row, the compiled per-syscall chains, and the
-    downcall-chain epoch (:mod:`repro.kernel.compile`).  A direct
-    mutation skips every one of those invalidations, so already-built
-    flat chains keep dispatching the *old* stack.
+    through ``task_set_emulation``, which is where the kernel resets
+    the process's fast-dispatch table (``proc.fast_dispatch``).  A
+    direct mutation skips that reset, so a stale table keeps sending
+    newly interposed numbers straight to the kernel.
     """
     for class_name, node in sorted(agentish.items()):
         for item in node.body:
@@ -500,10 +487,10 @@ def _check_vector_mutation(path, agentish, out):
                 out(_finding(
                     "L010", path, child, symbol,
                     "%s mutates the emulation vector directly (%s) — "
-                    "this bypasses task_set_emulation, so the kernel's "
-                    "fast-dispatch and compiled-dispatch tables are "
-                    "never invalidated and stale flat chains keep "
-                    "running the old stack; change interception with "
+                    "this bypasses task_set_emulation, so the "
+                    "process's fast-dispatch table is never reset and "
+                    "keeps sending newly interposed numbers straight to "
+                    "the kernel; change interception with "
                     "register_interest/unregister_interest instead"
                     % (symbol, shown)))
 

@@ -10,7 +10,7 @@ before returning a :class:`LintResult`.
 Suppression comments are honored on the finding's own line or on the
 line directly above it, and should carry a one-line justification::
 
-    # repro-lint: disable=L003  -- ownership transfers to Descriptor
+    # repro-lint: disable=F002  -- ownership transfers to Descriptor
     def install(self, fd, open_object):
         ...
 
@@ -36,7 +36,7 @@ import subprocess
 from repro.lint import checks, flow
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.protocol import load_protocol
-from repro.lint.rules import RULES, severity_of
+from repro.lint.rules import severity_of
 
 
 class LintError(Exception):
@@ -157,40 +157,10 @@ def suppressions_for(source):
     return table
 
 
-def _alias_table():
-    """``{successor_id: {deprecated ids it absorbs}}`` from the registry."""
-    table = {}
-    for rule in RULES.values():
-        if rule.superseded_by is not None:
-            table.setdefault(rule.superseded_by, set()).add(rule.rule_id)
-    return table
-
-
 def _apply_suppressions(findings, table):
-    aliases = _alias_table()
     for finding in findings:
-        disabled = table.get(finding.line, ())
-        if finding.rule in disabled:
+        if finding.rule in table.get(finding.line, ()):
             finding.suppressed = True
-        elif aliases.get(finding.rule, set()) & set(disabled):
-            # A disable= naming the deprecated predecessor (e.g. L003)
-            # silences the successor's finding too.
-            finding.suppressed = True
-
-
-def expand_rule_ids(rule_ids_wanted):
-    """Translate deprecated ids in a ``--rules`` selection.
-
-    Selecting a deprecated rule selects its successor (``--rules
-    L003`` runs F002); the deprecated id itself is kept so baselines
-    naming it still parse.
-    """
-    expanded = set(rule_ids_wanted)
-    for rule_id in rule_ids_wanted:
-        rule = RULES.get(rule_id)
-        if rule is not None and rule.superseded_by is not None:
-            expanded.add(rule.superseded_by)
-    return expanded
 
 
 def load_baseline(path):
@@ -325,9 +295,8 @@ def run_lint(paths, protocol_root=None, check_parity=True, baseline=None,
     are read from (tests point it at fixture trees); *check_parity*
     gates the project-wide L007 pass; *baseline* maps tolerated
     fingerprints to their justifications; *only_rules* restricts
-    reporting to the given rule ids (deprecated ids select their
-    successors); *diff_ref* restricts the sweep to files changed
-    relative to that git ref.
+    reporting to the given rule ids; *diff_ref* restricts the sweep to
+    files changed relative to that git ref.
     """
     model = load_protocol(protocol_root)
     files = discover_files(paths)
@@ -351,8 +320,7 @@ def run_lint(paths, protocol_root=None, check_parity=True, baseline=None,
             _apply_suppressions(matching, table)
         findings.extend(parity)
     if only_rules is not None:
-        expanded = expand_rule_ids(only_rules)
-        findings = [f for f in findings if f.rule in expanded]
+        findings = [f for f in findings if f.rule in only_rules]
     _assign_occurrences(findings)
     if baseline:
         for finding in findings:

@@ -23,9 +23,8 @@ Scope decisions, per rule:
   from calls that do not mention the resource are not treated as
   leak-bearing (the analysis assumes unrelated calls do not raise —
   the price of not guarding every statement in Python).
-* **F002** (path-sensitive refcount balance) subsumes the deprecated
-  per-method counter L003.  It runs where the OpenObject protocol
-  lives (``agents``/``toolkit`` trees) and checks that the
+* **F002** (path-sensitive refcount balance) runs where the OpenObject
+  protocol lives (``agents``/``toolkit`` trees) and checks that the
   ``incref``/``decref`` delta is zero on every path out of a function
   — early returns and explicit raises included — unless the reference
   escapes (returned, stored into an attribute/subscript, or handed to

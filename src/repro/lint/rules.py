@@ -13,23 +13,13 @@ from repro.lint.findings import ERROR
 class Rule:
     """One registered rule: id, severity, and its contract in one line."""
 
-    __slots__ = ("rule_id", "severity", "summary", "rationale",
-                 "superseded_by")
+    __slots__ = ("rule_id", "severity", "summary", "rationale")
 
-    def __init__(self, rule_id, severity, summary, rationale,
-                 superseded_by=None):
+    def __init__(self, rule_id, severity, summary, rationale):
         self.rule_id = rule_id
         self.severity = severity
         self.summary = summary
         self.rationale = rationale
-        #: for deprecated rules: the id of the rule that replaced it
-        #: (``--rules`` and ``disable=`` directives naming this rule
-        #: are translated to the successor)
-        self.superseded_by = superseded_by
-
-    @property
-    def deprecated(self):
-        return self.superseded_by is not None
 
     def __repr__(self):
         return "<Rule %s %s>" % (self.rule_id, self.severity)
@@ -39,9 +29,8 @@ class Rule:
 RULES = {}
 
 
-def _register(rule_id, severity, summary, rationale, superseded_by=None):
-    RULES[rule_id] = Rule(rule_id, severity, summary, rationale,
-                          superseded_by=superseded_by)
+def _register(rule_id, severity, summary, rationale):
+    RULES[rule_id] = Rule(rule_id, severity, summary, rationale)
 
 
 _register(
@@ -59,16 +48,6 @@ _register(
     "an init that neither chains nor registers leaves the agent "
     "attached but intercepting nothing — every call bypasses it "
     "(paper Section 2.3: agent invocation installs interception).",
-)
-_register(
-    "L003", ERROR,
-    "[deprecated, superseded by F002] OpenObject references taken and "
-    "released in balanced pairs per method",
-    "the per-method incref/decref counter could not see try/finally "
-    "or early returns; F002 checks the same balance path-sensitively. "
-    "``disable=L003`` suppressions and ``--rules L003`` selections "
-    "are translated to F002.",
-    superseded_by="F002",
 )
 _register(
     "L004", ERROR,
@@ -136,11 +115,10 @@ _register(
     "unregister_interest (task_set_emulation)",
     "a sys_*/handle_syscall/handle_signal body that assigns into, "
     "deletes from, or pops ``*.emulation_vector`` bypasses "
-    "task_set_emulation — the single funnel that invalidates the "
-    "kernel's fast-dispatch and compiled-dispatch tables "
-    "(repro.kernel.compile) and bumps the downcall-chain epoch; a "
-    "direct mutation leaves stale flat chains running the *old* stack "
-    "for every process the agent serves.",
+    "task_set_emulation — the single funnel that resets the "
+    "process's fast-dispatch table (``proc.fast_dispatch``); a direct "
+    "mutation leaves a stale table sending newly interposed numbers "
+    "straight to the kernel.",
 )
 _register(
     "L011", ERROR,
@@ -179,7 +157,7 @@ _register(
     "F002", ERROR,
     "incref/decref balance on every path out of a method (early "
     "returns, finally, handlers), unless the reference escapes",
-    "the per-method counter L003 missed try/finally and early "
+    "a per-method counter misses try/finally and early "
     "returns; the typestate analysis tracks the net reference delta "
     "along each path and flags the exits where it is non-zero — the "
     "paper names refcount mistakes as its hardest agent bugs "

@@ -36,19 +36,12 @@ def _level(severity):
 
 
 def _rule_entry(rule):
-    entry = {
+    return {
         "id": rule.rule_id,
         "shortDescription": {"text": rule.summary},
         "fullDescription": {"text": rule.rationale},
         "defaultConfiguration": {"level": _level(rule.severity)},
     }
-    if rule.superseded_by is not None:
-        entry["deprecatedIds"] = [rule.rule_id]
-        entry["relationships"] = [{
-            "target": {"id": rule.superseded_by},
-            "kinds": ["superseded"],
-        }]
-    return entry
 
 
 def _result(finding):

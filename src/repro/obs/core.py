@@ -133,8 +133,6 @@ class Observability:
             "flags": kernel.fastpaths.describe(),
             "trap_total": kernel.trap_total,
             "trap_fast_total": kernel.trap_fast_total,
-            "trap_compiled_total": kernel.trap_compiled_total,
-            "down_compiled_total": kernel.down_compiled_total,
         }
         snap["spans"] = (self.spans.counts() if self.spans is not None
                          else {"enabled": False})

@@ -22,10 +22,7 @@ the run: record/replay reproduces it bit for bit, and two runs of a
 deterministic workload profile identically.
 
 Pay-per-use: ``kernel.profiler`` is ``None`` by default and every hook
-site is a single ``is None`` test.  While a profiler is attached the
-compiled agent-stack dispatch stands down (flat chains skip the
-``_emulation_entry`` frames the profiler attributes cost to), exactly
-as it does for the recorder and dfstrace.
+site is a single ``is None`` test.
 
 Output formats (see ``scripts/profile.py`` for the CLI):
 
@@ -68,16 +65,9 @@ class Profiler:
 
     def attach(self, kernel):
         """Install on *kernel* (replacing any previous profiler)."""
-        from repro.kernel.compile import note_down_mutation
-
         self.kernel = kernel
         self.start_usec = kernel.clock.usec()
         kernel.profiler = self
-        # Compiled flat chains bypass the agent-frame push/pop; retire
-        # them machine-wide so attribution stays truthful.
-        note_down_mutation()
-        for proc in kernel._procs.values():
-            proc.compiled_dispatch = None
         return self
 
     def detach(self):

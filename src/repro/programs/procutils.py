@@ -119,9 +119,7 @@ def vmstat_main(sys, argv, envp):
     total = trap.get("total", 0)
     sys.print_out("uptime %.2fs  schema v%s\n"
                   % (up_sec, stats.get("schema_version", "?")))
-    sys.print_out("traps %d  fast %d  compiled %d  down_compiled %d\n" % (
-        total, trap.get("fast", 0), trap.get("compiled", 0),
-        trap.get("down_compiled", 0)))
+    sys.print_out("traps %d  fast %d\n" % (total, trap.get("fast", 0)))
     if up_sec > 0:
         sys.print_out("traps/sec %.1f\n" % (total / up_sec))
     cache = stats.get("namecache", {})

@@ -15,7 +15,6 @@ import time
 from repro.kernel import signals as sig
 from repro.kernel.errno import EBADF, SyscallError
 from repro.kernel.ofile import F_GETFD, FD_CLOEXEC
-from repro.kernel.compile import note_down_mutation
 from repro.kernel.sysent import name_of, number_of
 from repro.kernel.trap import deliver_signal_to_application
 
@@ -52,10 +51,6 @@ class Agent:
         #: number this agent intercepts (None means the kernel): agents
         #: stack by chaining their downcalls through this map
         self._down = {}
-        #: flattened downcall chains baked by repro.kernel.compile
-        #: (number → closure); ``None`` until a compiled build walks
-        #: through this agent, reset on any ``_down`` change
-        self._down_compiled = None
 
     # -- context plumbing (hidden mechanism) -----------------------------
 
@@ -139,18 +134,10 @@ class Agent:
             previous = ctx.htg(_NR_TASK_GET_EMULATION, number)
             if previous is not None and previous is not self._emulation_entry:
                 self._down[number] = previous
-        # The downcall chain changed: retire every compiled chain that
-        # baked the old one — this agent serves every process forked
-        # under it, so a local reset is not enough (see
-        # repro.kernel.compile.DOWN_EPOCH).
-        self._down_compiled = None
-        note_down_mutation()
         ctx.htg(_NR_TASK_SET_EMULATION, numbers, self._emulation_entry)
 
     def unregister_interest(self, numbers):
         """Stop intercepting the listed call numbers."""
-        self._down_compiled = None
-        note_down_mutation()
         self.ctx.htg(_NR_TASK_SET_EMULATION, list(numbers), None)
 
     def register_signal_interest(self):
@@ -174,14 +161,6 @@ class Agent:
 
     def syscall_down_numeric(self, number, args):
         """Downcall by raw number with an argument vector."""
-        compiled = self._down_compiled
-        if compiled is not None:
-            flat = compiled.get(number)
-            if flat is not None:
-                # A baked chain for the stack below this agent; it
-                # stands down by itself under recorder/obs/dfstrace or
-                # a stale epoch (see repro.kernel.compile._make_down).
-                return flat(self.ctx, args)
         below = self._down.get(number)
         if below is not None:
             return below(self.ctx, number, tuple(args))

@@ -63,15 +63,6 @@ class OpenObject:
     def readv(self, fd, counts):
         """Scatter read, built on :meth:`read` so derived objects that
         change read behaviour cover the vector forms automatically."""
-        if (type(self).read is OpenObject.read
-                and self.dset.ctx.kernel.fastpaths.compiled):
-            # Stock reads reduce to the next level's own vectored call:
-            # one downcall — one compiled chain, when one is baked —
-            # instead of one per iovec.  The kernel's sys_readv applies
-            # the same short-read cutoff, so the buffers are identical;
-            # only block accounting coarsens (one ru_inblock per vector
-            # rather than per fragment — see docs/PERFORMANCE.md).
-            return self.dset.syscall_down("readv", fd, counts)
         buffers = []
         for count in counts:
             data = self.read(fd, count)
@@ -82,9 +73,6 @@ class OpenObject:
 
     def writev(self, fd, buffers):
         """Gather write, built on :meth:`write` (see :meth:`readv`)."""
-        if (type(self).write is OpenObject.write
-                and self.dset.ctx.kernel.fastpaths.compiled):
-            return self.dset.syscall_down("writev", fd, buffers)
         return sum(self.write(fd, buffer) for buffer in buffers)
 
     def lseek(self, fd, offset, whence):
@@ -129,7 +117,7 @@ class Descriptor:
 
     __slots__ = ("fd", "open_object")
 
-    # repro-lint: disable=L003 -- the constructor *takes ownership*: this
+    # repro-lint: disable=F002 -- the constructor *takes ownership*: this
     # reference is released by DescriptorSet.drop/release_process.
     def __init__(self, fd, open_object):
         self.fd = fd
@@ -235,7 +223,7 @@ class DescriptorSet:
             table[fd] = desc
         return desc
 
-    # repro-lint: disable=L003 -- releases only the *replaced* entry's
+    # repro-lint: disable=F002 -- releases only the *replaced* entry's
     # reference; the new reference is taken by Descriptor.__init__.
     def install(self, fd, open_object):
         """Bind *fd* to *open_object*, dropping any stale entry."""
@@ -247,7 +235,7 @@ class DescriptorSet:
         table[fd] = desc
         return desc
 
-    # repro-lint: disable=L003 -- the release point pairing
+    # repro-lint: disable=F002 -- the release point pairing
     # Descriptor.__init__'s incref (descriptor forgotten).
     def drop(self, fd):
         """Forget *fd*, releasing its open-object reference."""
@@ -262,7 +250,7 @@ class DescriptorSet:
             fd: Descriptor(fd, desc.open_object) for fd, desc in parent.items()
         }
 
-    # repro-lint: disable=L003 -- exit-time bulk release pairing each
+    # repro-lint: disable=F002 -- exit-time bulk release pairing each
     # Descriptor.__init__ incref the dead process still held.
     def release_process(self, pid):
         """Release every descriptor a process held (at its exit)."""

@@ -413,7 +413,6 @@ class GuardRail:
         if getattr(proc.signal_redirect, "__self__", None) is owner:
             proc.signal_redirect = None
         proc.fast_dispatch = None
-        proc.compiled_dispatch = None
         _note(ctx.kernel, proc, ev.GUARD_QUARANTINE, name,
               "agent %s ejected from pid %d"
               % (type(owner).__name__, proc.pid))

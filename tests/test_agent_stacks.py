@@ -15,8 +15,20 @@ from repro.agents.timex import TimexSymbolicSyscall
 from repro.agents.trace import TraceSymbolicSyscall
 from repro.agents.txn import TxnAgent
 from repro.agents.union_dirs import UnionAgent
+from repro.kernel import Kernel
+from repro.kernel import signals as sig
+from repro.kernel.errno import EBADF, EINVAL, ENOENT, SyscallError
+from repro.kernel.ofile import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.proc import WEXITSTATUS
+from repro.kernel.sysent import number_of
+from repro.kernel.trap import UserContext
+from repro.toolkit.symbolic import SymbolicSyscall
 from repro.workloads import boot_world
+
+NR = {name: number_of(name) for name in (
+    "getpid", "open", "close", "readv", "writev", "stat", "mkdir",
+    "sigvec", "kill",
+)}
 
 
 def run_stacked(kernel, agents, path, argv):
@@ -129,3 +141,109 @@ def test_stack_survives_exec_and_fork(world):
     log = world.read_file("/tmp/stack4.trace").decode()
     assert log.count("execve(") >= 3
     assert monitor.forks >= 3
+
+
+# -- vectored I/O through agent stacks --------------------------------------
+
+
+def _trace_stack():
+    return [TraceSymbolicSyscall(log_path="/dev/null")]
+
+
+def _union_txn_stack():
+    return [UnionAgent(), TxnAgent(scratch_dir="/tmp/vec.txn",
+                                   outcome="commit")]
+
+
+@pytest.mark.parametrize("factory", [_trace_stack, _union_txn_stack],
+                         ids=["trace", "union+txn"])
+def test_vector_io_through_stack(world, factory):
+    world.write_file("/data.bin", b"abcdefghijklmnopqrstuvwxyz")
+    outcome = {}
+
+    def vectored(ctx, argv, envp):
+        fd = ctx.trap(NR["open"], "/out.bin",
+                      O_WRONLY | O_CREAT | O_TRUNC, 0o644)
+        outcome["wrote"] = ctx.trap(
+            NR["writev"], fd, [b"alpha ", b"beta ", b"gamma"])
+        ctx.trap(NR["close"], fd)
+        rfd = ctx.trap(NR["open"], "/data.bin", O_RDONLY)
+        outcome["buffers"] = ctx.trap(NR["readv"], rfd, [5, 5, 100, 5])
+        ctx.trap(NR["close"], rfd)
+        return 0
+
+    world.register_program("vectored", vectored)
+    world.install_binary("/bin/vectored", "vectored")
+    status = run_stacked(world, factory(), "/bin/vectored", ["vectored"])
+    assert WEXITSTATUS(status) == 0
+    assert outcome["wrote"] == 16
+    assert world.read_file("/out.bin") == b"alpha beta gamma"
+    # Short-read cutoff: the 100-byte fragment drains the file, so the
+    # trailing fragment is never attempted.
+    assert outcome["buffers"] == [b"abcde", b"fghij",
+                                  b"klmnopqrstuvwxyz"]
+
+
+# -- call outcomes through an agent -----------------------------------------
+
+
+def _attached(kernel):
+    """A persistent interposed context: agent attached, not exec'd."""
+    ctx = UserContext(kernel, kernel._create_initial_process())
+    SymbolicSyscall().attach(ctx, [])
+    return ctx
+
+
+@pytest.mark.parametrize("name,args,errno", [
+    ("close", (99,), EBADF),           # through the descriptor layer
+    ("stat", ("/missing",), ENOENT),   # through the pathname layer
+], ids=["EBADF", "ENOENT"])
+def test_errno_through_agent(name, args, errno):
+    ctx = _attached(Kernel())
+    with pytest.raises(SyscallError) as caught:
+        ctx.trap(NR[name], *args)
+    assert caught.value.errno == errno
+
+
+def test_agent_fills_default_mkdir_mode():
+    ctx = _attached(Kernel())
+    assert ctx.trap(NR["mkdir"], "/made") == 0
+    mode = ctx.trap(NR["stat"], "/made").st_mode & 0o7777
+    assert mode == 0o777 & ~ctx.proc.umask
+
+
+def test_over_arity_call_through_agent_raises_type_error():
+    # The symbolic layer calls sys_getpid() with the surplus arguments,
+    # and the method call itself fails.
+    ctx = _attached(Kernel())
+    with pytest.raises(TypeError):
+        ctx.trap(NR["getpid"], 1, 2, 3, 4, 5)
+
+
+def test_empty_iovec_einval_is_errno_only_through_agent():
+    # The kernel's messageful EINVAL is consumed by the numeric layer on
+    # its way back up: the application sees the bare errno.
+    kernel = Kernel()
+    kernel.write_file("/e.txt", b"payload")
+    ctx = _attached(kernel)
+    fd = ctx.trap(NR["open"], "/e.txt", O_RDONLY)
+    with pytest.raises(SyscallError) as caught:
+        ctx.trap(NR["readv"], fd, [])
+    assert caught.value.errno == EINVAL
+    assert "iovec" not in str(caught.value)
+    ctx.trap(NR["close"], fd)
+
+
+def test_signal_from_interposed_kill_delivered_on_return(world):
+    delivered = []
+
+    def main(ctx):
+        SymbolicSyscall().attach(ctx, [])
+        assert NR["kill"] in ctx.proc.emulation_vector
+        ctx.trap(NR["sigvec"], sig.SIGUSR1,
+                 lambda s: delivered.append(s), 0)
+        ctx.trap(NR["kill"], ctx.proc.pid, sig.SIGUSR1)
+        assert delivered == [sig.SIGUSR1]
+        return 0
+
+    assert WEXITSTATUS(world.run_entry(main)) == 0

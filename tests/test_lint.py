@@ -202,7 +202,7 @@ def test_l002_quiet_for_chained_and_self_registering_inits(tmp_path,
     assert rules_fired(result) == set()
 
 
-# -- L003 (deprecated alias of F002): refcount pairing ---------------------
+# -- F002: refcount pairing (the tests keep the retired L003's names) ------
 
 
 def test_l003_alias_unbalanced_reference_traffic_fires_f002(tmp_path,
@@ -215,40 +215,6 @@ def test_l003_alias_unbalanced_reference_traffic_fires_f002(tmp_path,
             obj = self.dset.lookup(fd).open_object.incref()
             return super().sys_close(fd)
     """)
-    assert rules_fired(result) == {"F002"}
-
-
-def test_l003_suppression_comment_silences_f002(tmp_path, proto_root):
-    # disable=L003 written before the flow rules landed keeps working:
-    # the deprecated id aliases to its successor.
-    result = lint_source(tmp_path, proto_root, """
-    from repro.toolkit.descriptors import DescSymbolicSyscall
-
-    class Leaky(DescSymbolicSyscall):
-        # repro-lint: disable=L003 -- fixture: leak on purpose
-        def sys_close(self, fd):
-            obj = self.dset.lookup(fd).open_object.incref()
-            return super().sys_close(fd)
-    """)
-    assert result.active == []
-    assert [f.rule for f in result.suppressed] == ["F002"]
-
-
-def test_l003_rules_selection_translates_to_f002(tmp_path, proto_root):
-    source = """
-    from repro.toolkit.descriptors import DescSymbolicSyscall
-
-    class Leaky(DescSymbolicSyscall):
-        def sys_close(self, fd):
-            obj = self.dset.lookup(fd).open_object.incref()
-            return super().sys_close(fd)
-    """
-    directory = tmp_path / "agents"
-    directory.mkdir(exist_ok=True)
-    target = directory / "leaky.py"
-    target.write_text(textwrap.dedent(source))
-    result = run_lint([str(target)], protocol_root=str(proto_root),
-                      check_parity=False, only_rules={"L003"})
     assert rules_fired(result) == {"F002"}
 
 
@@ -866,16 +832,12 @@ def test_cli_list_rules_covers_every_registered_rule():
 
 def test_registry_defines_every_rule():
     assert rule_ids() == ["F001", "F002", "F003", "F004", "F005", "F006",
-                          "L000", "L001", "L002", "L003", "L004",
+                          "L000", "L001", "L002", "L004",
                           "L005", "L006", "L007", "L008", "L009",
                           "L010", "L011"]
     for rule in RULES.values():
         assert rule.summary and rule.rationale
         assert rule.severity in ("error", "warning")
-    # Exactly one deprecated alias, pointing at a registered successor:
-    deprecated = [r for r in RULES.values() if r.deprecated]
-    assert [r.rule_id for r in deprecated] == ["L003"]
-    assert RULES["L003"].superseded_by == "F002"
 
 
 def test_repo_agents_and_toolkit_lint_clean():
@@ -885,8 +847,8 @@ def test_repo_agents_and_toolkit_lint_clean():
     ])
     assert result.active == [], [f.render() for f in result.active]
     # The intentional, justified suppressions stay visible: the three
-    # descriptor-table release points (disable=L003 comments, honored
-    # by F002 via the alias), the IPC-delegating handle_syscall, and
-    # the IPC-forwarding handle_signal in remote.py.
+    # descriptor-table release points (disable=F002 comments), the
+    # IPC-delegating handle_syscall, and the IPC-forwarding
+    # handle_signal in remote.py.
     assert result.suppressed_counts() == {"F002": 3, "F005": 1,
                                           "L005": 1}

@@ -618,9 +618,6 @@ def test_sarif_document_shape(tmp_path, proto_root):
     rules = run["tool"]["driver"]["rules"]
     from repro.lint import rule_ids
     assert [r["id"] for r in rules] == rule_ids()
-    # The deprecated alias advertises its successor.
-    (l003,) = [r for r in rules if r["id"] == "L003"]
-    assert l003["relationships"][0]["target"]["id"] == "F002"
     # One result per finding, suppressed ones marked as such.
     assert len(run["results"]) == len(result.findings)
     by_rule = {r["ruleId"]: r for r in run["results"]}

@@ -229,7 +229,7 @@ def test_kernel_stats_trap_payload_pins_schema_and_order(world):
     future PRs append sections and bump the version, never reorder."""
     payload = kernel_stats_payload(world)
     assert list(payload) == list(KERNEL_STATS_SECTIONS)
-    assert payload["schema_version"] == KERNEL_STATS_SCHEMA_VERSION == 3
+    assert payload["schema_version"] == KERNEL_STATS_SCHEMA_VERSION == 4
     assert KERNEL_STATS_SECTIONS == (
         "schema_version", "fastpaths", "trap", "namecache", "spans",
         "guard", "faultsites", "recorder", "procfs", "profile", "watch",
@@ -276,7 +276,7 @@ def test_vmstat_parses_kernel_stats(sh, world):
     mount_procfs(world)
     code, out = sh("vmstat")
     assert code == 0
-    assert "uptime" in out and "schema v3" in out
+    assert "uptime" in out and "schema v4" in out
     assert "traps " in out and "procfs" in out
 
 

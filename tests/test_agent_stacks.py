@@ -220,6 +220,22 @@ def test_over_arity_call_through_agent_raises_type_error():
         ctx.trap(NR["getpid"], 1, 2, 3, 4, 5)
 
 
+def test_over_arity_crash_matches_layer_method_call():
+    # The crash reaches the application unchanged: the same TypeError a
+    # direct call of the layer's method raises, and the stack still
+    # serves the next call.
+    kernel = Kernel()
+    ctx = UserContext(kernel, kernel._create_initial_process())
+    agent = SymbolicSyscall()
+    agent.attach(ctx, [])
+    with pytest.raises(TypeError) as through_trap:
+        ctx.trap(NR["getpid"], 1, 2, 3, 4, 5)
+    with pytest.raises(TypeError) as direct:
+        agent.sys_getpid(1, 2, 3, 4, 5)
+    assert str(through_trap.value) == str(direct.value)
+    assert ctx.trap(NR["getpid"]) == ctx.proc.pid
+
+
 def test_empty_iovec_einval_is_errno_only_through_agent():
     # The kernel's messageful EINVAL is consumed by the numeric layer on
     # its way back up: the application sees the bare errno.
